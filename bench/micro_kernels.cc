@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "classify/density_classifier.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "dataset/uci_like.h"
@@ -170,6 +171,36 @@ BENCHMARK(BM_McDensitySubspaceEval)
     ->Args({80, 10})
     ->Args({140, 2})
     ->Args({140, 10});
+
+// One query through the paper's classifier (Fig. 3 roll-up): Explain on
+// held-out ionosphere-like rows (d = 34) with q = 140 micro-clusters per
+// model, f = 1.2 — the single-thread roll-up the classify_ionosphere
+// end-to-end workload times. Items are queries.
+void BM_ClassifierExplain(benchmark::State& state) {
+  constexpr size_t kTrain = 3000;
+  constexpr size_t kQueries = 512;
+  udm::PerturbationOptions perturb;
+  perturb.f = 1.2;
+  const udm::UncertainDataset noisy =
+      udm::Perturb(udm::MakeIonosphereLike(kTrain + kQueries, 1).value(),
+                   perturb)
+          .value();
+  std::vector<size_t> train(kTrain);
+  for (size_t i = 0; i < kTrain; ++i) train[i] = i;
+  udm::DensityBasedClassifier::Options options;
+  options.num_clusters = 140;
+  const auto classifier =
+      udm::DensityBasedClassifier::Train(noisy.data.Select(train),
+                                         noisy.errors.Select(train), options)
+          .value();
+  size_t row = 0;
+  for (auto _ : state) {
+    row = (row + 1) % kQueries;
+    benchmark::DoNotOptimize(classifier.Explain(noisy.data.Row(kTrain + row)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClassifierExplain);
 
 // Batch evaluation through the EvalRequest front door at a given worker
 // width (range arg). Single-threaded-time / N-thread-time across the args

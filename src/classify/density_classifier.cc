@@ -2,9 +2,85 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <numeric>
+#include <string>
+
+#include "common/stopwatch.h"
+#include "kde/simd_sweep.h"
+#include "obs/metrics.h"
 
 namespace udm {
+
+namespace {
+
+/// Records one Explain call into the `classify.explain.*` metrics when it
+/// goes out of scope — once per call, never per candidate.
+struct ExplainTally {
+  size_t candidates = 0;  // roll-up subspaces scored (not the fallback)
+  bool fallback = false;
+  StopCause stop = StopCause::kCompleted;
+  Stopwatch watch;
+
+  ~ExplainTally() {
+    static obs::Counter& scored = obs::MetricsRegistry::Global().GetCounter(
+        "classify.explain.candidates_scored");
+    static obs::Counter& fallbacks =
+        obs::MetricsRegistry::Global().GetCounter("classify.explain.fallbacks");
+    static obs::Counter& stop_deadline =
+        obs::MetricsRegistry::Global().GetCounter(
+            "classify.explain.stop_deadline");
+    static obs::Counter& stop_budget =
+        obs::MetricsRegistry::Global().GetCounter(
+            "classify.explain.stop_budget");
+    static obs::Histogram& seconds =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "classify.explain.seconds");
+    scored.Increment(candidates);
+    if (fallback) fallbacks.Increment();
+    if (stop == StopCause::kDeadline) stop_deadline.Increment();
+    if (stop == StopCause::kBudget) stop_budget.Increment();
+    seconds.Record(watch.ElapsedSeconds());
+  }
+};
+
+/// C_{i+1} from L_i (`frontier`: rows of `len` sorted dims) joined with
+/// L_1 (`singles`): every extension of a row by a dimension it lacks,
+/// sorted lexicographically and deduplicated in one flat buffer of
+/// `len + 1`-dim rows — the order a std::set<std::vector<size_t>> gives.
+std::vector<size_t> JoinLevel(std::span<const size_t> frontier, size_t len,
+                              std::span<const size_t> singles) {
+  const size_t width = len + 1;
+  std::vector<size_t> joined;
+  for (size_t f = 0; f < frontier.size(); f += len) {
+    const std::span<const size_t> base = frontier.subspan(f, len);
+    for (const size_t extra : singles) {
+      if (std::binary_search(base.begin(), base.end(), extra)) continue;
+      const auto split = std::upper_bound(base.begin(), base.end(), extra);
+      joined.insert(joined.end(), base.begin(), split);
+      joined.push_back(extra);
+      joined.insert(joined.end(), split, base.end());
+    }
+  }
+  std::vector<size_t> order(joined.size() / width);
+  std::iota(order.begin(), order.end(), size_t{0});
+  const auto row = [&](size_t r) { return joined.begin() + r * width; };
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(row(a), row(a) + width, row(b),
+                                        row(b) + width);
+  });
+  std::vector<size_t> rows;
+  rows.reserve(joined.size());
+  for (const size_t r : order) {
+    if (!rows.empty() && std::equal(row(r), row(r) + width,
+                                    rows.end() - static_cast<ptrdiff_t>(width))) {
+      continue;
+    }
+    rows.insert(rows.end(), row(r), row(r) + width);
+  }
+  return rows;
+}
+
+}  // namespace
 
 Result<DensityBasedClassifier> DensityBasedClassifier::Train(
     const Dataset& data, const ErrorModel& errors, const Options& options) {
@@ -66,26 +142,29 @@ Result<DensityBasedClassifier> DensityBasedClassifier::Train(
                                 options, name);
 }
 
-DensityBasedClassifier::SubspaceScore DensityBasedClassifier::ScoreSubspace(
-    std::span<const double> x, std::span<const size_t> dims) const {
-  const double log_global = global_model_.LogEvaluateSubspace(x, dims);
+void DensityBasedClassifier::ScoreBlock(std::span<const double> x,
+                                        std::span<const size_t> dims,
+                                        size_t len,
+                                        SubspaceScore* scores) const {
+  const size_t count = dims.size() / len;
+  UDM_DCHECK(count <= kde_internal::kMaxSubspaceLanes);
+  double log_global[kde_internal::kMaxSubspaceLanes];
+  double log_class[kde_internal::kMaxSubspaceLanes];
+  global_model_.LogEvaluateSubspaces(x, dims, len, {log_global, count});
   const double log_total =
       std::log(static_cast<double>(global_model_.total_count()));
-  SubspaceScore best;
-  bool first = true;
   for (size_t c = 0; c < class_models_.size(); ++c) {
-    const double log_class = class_models_[c].LogEvaluateSubspace(x, dims);
-    // log A(x,S,l_c) = log|D_c| + log g(x,S,D_c) − log|D| − log g(x,S,D).
-    const double log_acc =
-        std::log(static_cast<double>(class_counts_[c])) + log_class -
-        log_total - log_global;
-    if (first || log_acc > best.log_accuracy) {
-      best.label = static_cast<int>(c);
-      best.log_accuracy = log_acc;
-      first = false;
+    class_models_[c].LogEvaluateSubspaces(x, dims, len, {log_class, count});
+    const double log_count = std::log(static_cast<double>(class_counts_[c]));
+    for (size_t j = 0; j < count; ++j) {
+      // log A(x,S,l_c) = log|D_c| + log g(x,S,D_c) − log|D| − log g(x,S,D).
+      const double log_acc =
+          log_count + log_class[j] - log_total - log_global[j];
+      if (c == 0 || log_acc > scores[j].log_accuracy) {
+        scores[j] = {static_cast<int>(c), log_acc};
+      }
     }
   }
-  return best;
 }
 
 double DensityBasedClassifier::LogLocalAccuracy(
@@ -124,7 +203,15 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     return Status::InvalidArgument(
         "DensityBasedClassifier: point dimension mismatch");
   }
+  for (size_t j = 0; j < x.size(); ++j) {
+    if (!std::isfinite(x[j])) {
+      return Status::InvalidArgument(
+          "DensityBasedClassifier: non-finite coordinate at dimension " +
+          std::to_string(j));
+    }
+  }
   UDM_RETURN_IF_ERROR(ctx.Check());
+  ExplainTally tally;
   const double log_threshold = std::log(options_.accuracy_threshold);
 
   struct Qualified {
@@ -132,7 +219,7 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     SubspaceScore score;
   };
 
-  size_t evaluations = 0;
+  size_t& evaluations = tally.candidates;
   const auto budget_left = [&]() {
     return options_.max_evaluations == 0 ||
            evaluations < options_.max_evaluations;
@@ -140,15 +227,18 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
 
   // Kernel-eval cost of scoring one subspace dimension: every pseudo-point
   // in the global model plus every class model contributes one term.
+  // Candidates are scored `lanes` at a time (DESIGN.md §4l).
   size_t pseudo_per_dim = global_model_.num_clusters();
+  size_t lanes = global_model_.subspace_lanes();
   for (const McDensityModel& model : class_models_) {
     pseudo_per_dim += model.num_clusters();
+    lanes = std::max(lanes, model.subspace_lanes());
   }
 
   // The roll-up is an anytime algorithm: a deadline/budget violation at a
   // subspace boundary stops expansion and the prediction is made from the
   // subspaces qualified so far. Cancellation is never absorbed.
-  StopCause stop = StopCause::kCompleted;
+  StopCause& stop = tally.stop;
   Status cancelled;
   const auto boundary_ok = [&](size_t subspace_dims) {
     Status s = ctx.ChargeKernelEvals(subspace_dims * pseudo_per_dim);
@@ -163,53 +253,62 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     return false;
   };
 
-  // Level 1: all singleton subspaces.
-  std::vector<Qualified> level1;
-  for (size_t j = 0; j < num_dims_; ++j) {
-    if (!boundary_ok(1)) break;
-    const size_t dims[] = {j};
-    ++evaluations;
-    const SubspaceScore score = ScoreSubspace(x, dims);
-    if (score.log_accuracy > log_threshold) {
-      level1.push_back({{j}, score});
+  // Scores one level's candidates (`rows`: `len` dims each, in std::set
+  // order), appending the qualifying ones to `qualifying` and `frontier`.
+  // Each candidate's budget, charge and deadline check run in candidate
+  // order before its block is scored, so a stop lands on the same
+  // candidate as a one-at-a-time scan; a deadline may be seen up to one
+  // block late (DESIGN.md §4c).
+  std::vector<Qualified> qualifying;
+  std::vector<size_t> frontier;
+  const auto score_level = [&](const std::vector<size_t>& rows, size_t len,
+                               bool capped) {
+    frontier.clear();
+    const size_t count = rows.size() / len;
+    SubspaceScore scores[kde_internal::kMaxSubspaceLanes];
+    for (size_t begin = 0; begin < count;) {
+      size_t ready = 0;
+      bool halted = false;
+      while (ready < lanes && begin + ready < count) {
+        if ((capped && !budget_left()) || !boundary_ok(len)) {
+          halted = true;
+          break;
+        }
+        ++evaluations;
+        ++ready;
+      }
+      if (!cancelled.ok()) return;
+      const std::span<const size_t> block(rows.data() + begin * len,
+                                          ready * len);
+      if (ready != 0) ScoreBlock(x, block, len, scores);
+      for (size_t j = 0; j < ready; ++j) {
+        if (scores[j].log_accuracy > log_threshold) {  // NaN never qualifies
+          const std::span<const size_t> dims = block.subspan(j * len, len);
+          frontier.insert(frontier.end(), dims.begin(), dims.end());
+          qualifying.push_back({{dims.begin(), dims.end()}, scores[j]});
+        }
+      }
+      if (halted) return;
+      begin += ready;
     }
-  }
-  if (!cancelled.ok()) return cancelled;
+  };
 
-  std::vector<Qualified> qualifying = level1;
-  std::vector<Qualified> frontier = level1;
+  // Level 1: all singleton subspaces.
+  std::vector<size_t> all(num_dims_);
+  std::iota(all.begin(), all.end(), size_t{0});
+  score_level(all, 1, /*capped=*/false);
+  if (!cancelled.ok()) return cancelled;
+  const std::vector<size_t> singles = frontier;
 
   // Roll-up: join L_i with L_1 to form C_{i+1} (Figure 3).
   size_t level = 1;
-  while (!frontier.empty() && budget_left() && stop == StopCause::kCompleted) {
+  while (!frontier.empty() && budget_left() && stop == StopCause::kCompleted &&
+         cancelled.ok()) {
     if (options_.max_subspace_dim != 0 && level >= options_.max_subspace_dim) {
       break;
     }
-    std::set<std::vector<size_t>> candidates;
-    for (const Qualified& base : frontier) {
-      for (const Qualified& single : level1) {
-        const size_t extra = single.dims[0];
-        if (std::binary_search(base.dims.begin(), base.dims.end(), extra)) {
-          continue;
-        }
-        std::vector<size_t> extended = base.dims;
-        extended.insert(
-            std::upper_bound(extended.begin(), extended.end(), extra), extra);
-        candidates.insert(std::move(extended));
-      }
-    }
-    std::vector<Qualified> next;
-    for (const std::vector<size_t>& dims : candidates) {
-      if (!budget_left()) break;
-      if (!boundary_ok(dims.size())) break;
-      ++evaluations;
-      const SubspaceScore score = ScoreSubspace(x, dims);
-      if (score.log_accuracy > log_threshold) {
-        next.push_back({dims, score});
-      }
-    }
-    qualifying.insert(qualifying.end(), next.begin(), next.end());
-    frontier = std::move(next);
+    score_level(JoinLevel(frontier, level, singles), level + 1,
+                /*capped=*/true);
     ++level;
   }
   if (!cancelled.ok()) return cancelled;
@@ -220,12 +319,12 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     // Fallback (paper unspecified): dominant class over all dimensions.
     // Runs even after a deadline/budget stop so every query yields a
     // prediction; the charge is recorded but cannot fail the query.
-    std::vector<size_t> all(num_dims_);
-    for (size_t j = 0; j < num_dims_; ++j) all[j] = j;
     (void)ctx.ChargeKernelEvals(num_dims_ * pseudo_per_dim);
-    const SubspaceScore score = ScoreSubspace(x, all);
+    SubspaceScore score;
+    ScoreBlock(x, all, num_dims_, &score);
     explanation.predicted = score.label;
     explanation.used_fallback = true;
+    tally.fallback = true;
     return explanation;
   }
 

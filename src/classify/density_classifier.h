@@ -101,6 +101,8 @@ class DensityBasedClassifier : public Classifier {
     return Train(data, errors, Options());
   }
 
+  /// Fails with InvalidArgument on a dimension mismatch or a NaN/±inf
+  /// coordinate, as every Predict/Explain overload does.
   Result<int> Predict(std::span<const double> x) const override;
 
   /// Predict with the selected rules exposed.
@@ -144,8 +146,10 @@ class DensityBasedClassifier : public Classifier {
     int label = 0;
     double log_accuracy = 0.0;
   };
-  SubspaceScore ScoreSubspace(std::span<const double> x,
-                              std::span<const size_t> dims) const;
+  /// Scores a block of at most kde_internal::kMaxSubspaceLanes candidate
+  /// subspaces (`dims`: rows of `len` sorted dims) into scores[0, rows).
+  void ScoreBlock(std::span<const double> x, std::span<const size_t> dims,
+                  size_t len, SubspaceScore* scores) const;
 
   std::vector<McDensityModel> class_models_;  // one per class, index = label
   McDensityModel global_model_;               // over all of D

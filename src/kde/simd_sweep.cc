@@ -1,8 +1,10 @@
 #include "kde/simd_sweep.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "kde/kernel_table.h"
 
@@ -374,14 +376,195 @@ __attribute__((target("avx512f,avx512dq"))) void ExpAccumAvx512(
 
 #endif  // UDM_SIMD_X86
 
-const SimdDispatch& GetSimdDispatch(SimdLevel level) {
-  static const SimdDispatch kScalarTable{SimdLevel::kScalar, &SweepScalar,
-                                         &SweepUniformScalar, &ExpAccumScalar};
+// ---------------------------------------------------------------------------
+// Candidate-lane scoring (DESIGN.md §4l): one block of candidate subspaces,
+// one candidate per lane, each lane repeating the column path's arithmetic.
+
+namespace {
+
+// Scalar level: the column path run once per candidate — seeded sweep
+// in dims order, running max, Kahan exp-sum.
+uint64_t LogSubspaceLanesScalar(const SubspaceLanes& block, double* out) {
+  uint64_t pruned = 0;
+  double* terms = block.terms;
+  for (size_t l = 0; l < block.count; ++l) {
+    const size_t* dims = block.dims + l * block.len;
+    std::copy_n(block.seed, block.n, terms);
+    for (size_t k = 0; k < block.len; ++k) {
+      const size_t offset = dims[k] * block.n;
+      SweepLogKernel(block.x[dims[k]], block.values + offset,
+                     block.neg_inv_two_var + offset, block.log_norm + offset,
+                     terms, block.n);
+    }
+    double max_term = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < block.n; ++i) {
+      max_term = std::max(max_term, terms[i]);
+    }
+    if (!std::isfinite(max_term)) {
+      out[l] = -std::numeric_limits<double>::infinity();
+      continue;
+    }
+    ExpSumState state;
+    ExpAccumScalar(terms, block.n, max_term, max_term, block.gap, state);
+    pruned += state.pruned;
+    out[l] = max_term + std::log(state.Total());
+  }
+  return pruned;
+}
+
 #if UDM_SIMD_X86
-  static const SimdDispatch kAvx2Table{SimdLevel::kAvx2, &SweepAvx2,
-                                       &SweepUniformAvx2, &ExpAccumAvx2};
-  static const SimdDispatch kAvx512Table{SimdLevel::kAvx512, &SweepAvx512,
-                                         &SweepUniformAvx512, &ExpAccumAvx512};
+
+/// Per-lane gather offsets (dim · n) and query coordinates for the k-th
+/// dimension of every candidate; lanes past `count` repeat candidate 0 so
+/// every gather reads valid memory (their results are discarded).
+template <size_t W>
+void LaneDimension(const SubspaceLanes& block, size_t k, int64_t* offsets,
+                   double* x_k) {
+  for (size_t l = 0; l < W; ++l) {
+    const size_t dim = block.dims[(l < block.count ? l : 0) * block.len + k];
+    offsets[l] = static_cast<int64_t>(dim * block.n);
+    x_k[l] = block.x[dim];
+  }
+}
+
+/// Writes each finite-max lane's log density (max + log sum) and adds its
+/// pruned-term count; a non-finite lane yields −inf and counts nothing,
+/// exactly as the column path skips its exp-sum.
+uint64_t FinishLanes(const SubspaceLanes& block, const double* max_term,
+                     const double* sum, const int64_t* pruned, double* out) {
+  uint64_t total = 0;
+  for (size_t l = 0; l < block.count; ++l) {
+    if (!std::isfinite(max_term[l])) {
+      out[l] = -std::numeric_limits<double>::infinity();
+      continue;
+    }
+    total += static_cast<uint64_t>(pruned[l]);
+    out[l] = max_term[l] + std::log(sum[l]);
+  }
+  return total;
+}
+
+// AVX2 level: lane l holds candidate l. Each lane gathers its own
+// dimension's column entries and runs the SweepAvx2 fma sequence on them,
+// folds its own running max (max_pd(t, m) ≡ std::max(m, t), NaN and
+// signed zero included), then its own plain in-order exp-sum with ExpPd256
+// and zeroed pruned lanes, as ExpAccumAvx2 does for one candidate. Terms
+// are stored summand-major, W per summand.
+__attribute__((target("avx2,fma"))) uint64_t LogSubspaceLanesAvx2(
+    const SubspaceLanes& block, double* out) {
+  constexpr size_t W = 4;
+  double* terms = block.terms;
+  __m256d vmax = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  alignas(32) int64_t offset_k[W];
+  alignas(32) double x_k[W];
+  for (size_t k = 0; k < block.len; ++k) {
+    LaneDimension<W>(block, k, offset_k, x_k);
+    const __m256i offsets =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(offset_k));
+    const __m256d vx = _mm256_load_pd(x_k);
+    const bool first = k == 0;
+    const bool last = k + 1 == block.len;
+    for (size_t i = 0; i < block.n; ++i) {
+      const __m256d acc = first ? _mm256_set1_pd(block.seed[i])
+                                : _mm256_loadu_pd(terms + i * 4);
+      const __m256d col = _mm256_i64gather_pd(block.values + i, offsets, 8);
+      const __m256d niv =
+          _mm256_i64gather_pd(block.neg_inv_two_var + i, offsets, 8);
+      const __m256d ln = _mm256_i64gather_pd(block.log_norm + i, offsets, 8);
+      const __m256d d = _mm256_sub_pd(vx, col);
+      const __m256d res =
+          _mm256_fmadd_pd(_mm256_mul_pd(d, d), niv, _mm256_add_pd(acc, ln));
+      _mm256_storeu_pd(terms + i * 4, res);
+      if (last) vmax = _mm256_max_pd(res, vmax);
+    }
+  }
+  const __m256d vgap = _mm256_set1_pd(block.gap);
+  __m256d sum = _mm256_setzero_pd();
+  __m256i pruned = _mm256_setzero_si256();
+  for (size_t i = 0; i < block.n; ++i) {
+    const __m256d vterm = _mm256_loadu_pd(terms + i * 4);
+    const __m256d prune =
+        _mm256_cmp_pd(_mm256_sub_pd(vmax, vterm), vgap, _CMP_GT_OQ);
+    sum = _mm256_add_pd(
+        sum, _mm256_andnot_pd(prune, ExpPd256(_mm256_sub_pd(vterm, vmax))));
+    // An all-ones lane is −1 as an integer.
+    pruned = _mm256_sub_epi64(pruned, _mm256_castpd_si256(prune));
+  }
+  alignas(32) double max_lanes[W];
+  alignas(32) double sum_lanes[W];
+  alignas(32) int64_t pruned_lanes[W];
+  _mm256_store_pd(max_lanes, vmax);
+  _mm256_store_pd(sum_lanes, sum);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(pruned_lanes), pruned);
+  return FinishLanes(block, max_lanes, sum_lanes, pruned_lanes, out);
+}
+
+// AVX-512 level: the AVX2 scheme on 8 lanes with mask registers
+// (SweepAvx512 / ExpAccumAvx512 arithmetic per lane).
+__attribute__((target("avx512f,avx512dq"))) uint64_t LogSubspaceLanesAvx512(
+    const SubspaceLanes& block, double* out) {
+  constexpr size_t W = 8;
+  double* terms = block.terms;
+  __m512d vmax = _mm512_set1_pd(-std::numeric_limits<double>::infinity());
+  alignas(64) int64_t offset_k[W];
+  alignas(64) double x_k[W];
+  for (size_t k = 0; k < block.len; ++k) {
+    LaneDimension<W>(block, k, offset_k, x_k);
+    const __m512i offsets = _mm512_load_si512(offset_k);
+    const __m512d vx = _mm512_load_pd(x_k);
+    const bool first = k == 0;
+    const bool last = k + 1 == block.len;
+    for (size_t i = 0; i < block.n; ++i) {
+      const __m512d acc = first ? _mm512_set1_pd(block.seed[i])
+                                : _mm512_loadu_pd(terms + i * 8);
+      const __m512d col = _mm512_i64gather_pd(offsets, block.values + i, 8);
+      const __m512d niv =
+          _mm512_i64gather_pd(offsets, block.neg_inv_two_var + i, 8);
+      const __m512d ln = _mm512_i64gather_pd(offsets, block.log_norm + i, 8);
+      const __m512d d = _mm512_sub_pd(vx, col);
+      const __m512d res =
+          _mm512_fmadd_pd(_mm512_mul_pd(d, d), niv, _mm512_add_pd(acc, ln));
+      _mm512_storeu_pd(terms + i * 8, res);
+      if (last) vmax = _mm512_max_pd(res, vmax);
+    }
+  }
+  const __m512d vgap = _mm512_set1_pd(block.gap);
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512d sum = _mm512_setzero_pd();
+  __m512i pruned = _mm512_setzero_si512();
+  for (size_t i = 0; i < block.n; ++i) {
+    const __m512d vterm = _mm512_loadu_pd(terms + i * 8);
+    const __mmask8 prune =
+        _mm512_cmp_pd_mask(_mm512_sub_pd(vmax, vterm), vgap, _CMP_GT_OQ);
+    sum = _mm512_add_pd(
+        sum, _mm512_maskz_mov_pd(static_cast<__mmask8>(~prune),
+                                 ExpPd512(_mm512_sub_pd(vterm, vmax))));
+    pruned = _mm512_mask_add_epi64(pruned, prune, pruned, one);
+  }
+  alignas(64) double max_lanes[W];
+  alignas(64) double sum_lanes[W];
+  alignas(64) int64_t pruned_lanes[W];
+  _mm512_store_pd(max_lanes, vmax);
+  _mm512_store_pd(sum_lanes, sum);
+  _mm512_store_si512(pruned_lanes, pruned);
+  return FinishLanes(block, max_lanes, sum_lanes, pruned_lanes, out);
+}
+
+#endif  // UDM_SIMD_X86
+
+}  // namespace
+
+const SimdDispatch& GetSimdDispatch(SimdLevel level) {
+  static const SimdDispatch kScalarTable{
+      SimdLevel::kScalar, &SweepScalar, &SweepUniformScalar, &ExpAccumScalar,
+      /*subspace_lanes=*/1, &LogSubspaceLanesScalar};
+#if UDM_SIMD_X86
+  static const SimdDispatch kAvx2Table{
+      SimdLevel::kAvx2, &SweepAvx2, &SweepUniformAvx2, &ExpAccumAvx2,
+      /*subspace_lanes=*/4, &LogSubspaceLanesAvx2};
+  static const SimdDispatch kAvx512Table{
+      SimdLevel::kAvx512, &SweepAvx512, &SweepUniformAvx512, &ExpAccumAvx512,
+      /*subspace_lanes=*/8, &LogSubspaceLanesAvx512};
   switch (level) {
     case SimdLevel::kAvx512:
       return kAvx512Table;

@@ -87,13 +87,52 @@ using PrunedExpAccumFn = void (*)(const double* terms, size_t n,
                                   double max_term, double shift, double gap,
                                   ExpSumState& state);
 
-/// One resolved dispatch level: the three hot-path entry points plus the
-/// level they implement (reported through EvalStats/serve/bench).
+/// Most candidate subspaces one lane-scoring call takes (the AVX-512
+/// width); callers size their per-block arrays by it.
+inline constexpr size_t kMaxSubspaceLanes = 8;
+
+/// One block of equal-size candidate subspaces scored against one
+/// column-major ErrorKernelTable (n summands, column stride n) with a
+/// per-summand log-weight seed — the classifier roll-up's unit of work
+/// (DESIGN.md §4l).
+struct SubspaceLanes {
+  const double* values = nullptr;
+  const double* neg_inv_two_var = nullptr;
+  const double* log_norm = nullptr;
+  const double* seed = nullptr;  ///< log-weights, one per summand
+  size_t n = 0;
+  const double* x = nullptr;     ///< the query, indexed by dimension
+  const size_t* dims = nullptr;  ///< count rows of len sorted dims
+  size_t len = 0;
+  /// 1 ≤ count ≤ the level's subspace_lanes; the scalar loop takes up
+  /// to kMaxSubspaceLanes.
+  size_t count = 0;
+  double gap = 0.0;              ///< log-space pruning gap
+  double* terms = nullptr;       ///< scratch, n · kMaxSubspaceLanes
+};
+
+/// Writes the log density of each candidate to out[0, count) and returns
+/// the pruned-term total. Candidate l is bit-identical to the column
+/// path run on its own (seeded sweep over its dims in order, running
+/// std::max, pruned_exp_accum with shift = max at the same level): each
+/// lane repeats that arithmetic term by term, so only the layout
+/// differs. A lane whose maximum is not finite yields −inf and, as on the
+/// column path, counts no pruned terms.
+using LogSubspaceLanesFn = uint64_t (*)(const SubspaceLanes& block,
+                                        double* out);
+
+/// One resolved dispatch level: the hot-path entry points plus the level
+/// they implement (reported through EvalStats/serve/bench).
 struct SimdDispatch {
   SimdLevel level = SimdLevel::kScalar;
   SweepKernelFn sweep = nullptr;
   SweepUniformFn sweep_uniform = nullptr;
   PrunedExpAccumFn pruned_exp_accum = nullptr;
+  /// Candidates per lane-scoring block worth packing at this level: 8
+  /// (AVX-512), 4 (AVX2), 1 (scalar — a plain per-lane loop, so callers
+  /// keep single candidates on the contiguous column path).
+  size_t subspace_lanes = 1;
+  LogSubspaceLanesFn log_subspace_lanes = nullptr;
 };
 
 /// The dispatch table for `level`. Levels the host cannot execute must

@@ -428,4 +428,45 @@ Result<double> McDensityModel::SubspaceLogDensity(
   return max_term + std::log(state.Total());
 }
 
+void McDensityModel::LogEvaluateSubspaces(std::span<const double> x,
+                                          std::span<const size_t> dims,
+                                          size_t len,
+                                          std::span<double> out) const {
+  UDM_CHECK(x.size() == num_dims_ && len != 0 &&
+            dims.size() == out.size() * len)
+      << "LogEvaluateSubspaces: shape";
+  const size_t lanes = subspace_lanes();
+  const size_t m = weights_.size();
+  uint64_t lane_rows = 0;
+  uint64_t pruned = 0;
+  for (size_t begin = 0; begin < out.size();) {
+    const size_t count = std::min(lanes, out.size() - begin);
+    if (count == 1) {
+      out[begin] = LogEvaluateSubspace(x, dims.subspan(begin * len, len));
+      ++begin;
+      continue;
+    }
+    kde_internal::SubspaceLanes block;
+    block.values = table_.values.data();
+    block.neg_inv_two_var = table_.neg_inv_two_var.data();
+    block.log_norm = table_.log_norm.data();
+    block.seed = log_weights_.data();
+    block.n = m;
+    block.x = x.data();
+    block.dims = dims.data() + begin * len;
+    block.len = len;
+    block.count = count;
+    block.gap = log_prune_threshold_;
+    block.terms = ScratchArena::ThreadLocal()
+                      .Doubles(ScratchArena::kLogTerms,
+                               m * kde_internal::kMaxSubspaceLanes)
+                      .data();
+    pruned += simd_->log_subspace_lanes(block, out.data() + begin);
+    lane_rows += count;
+    begin += count;
+  }
+  if (lane_rows != 0) KernelEvalCounter().Increment(lane_rows * m * len);
+  if (pruned != 0) PrunedTermsCounter().Increment(pruned);
+}
+
 }  // namespace udm

@@ -54,6 +54,23 @@ class McDensityModel {
   double LogEvaluateSubspace(std::span<const double> x,
                              std::span<const size_t> dims) const;
 
+  /// LogEvaluateSubspace over a block of equal-size candidate subspaces —
+  /// the classifier roll-up's entry (DESIGN.md §4l). `dims` holds
+  /// out.size() rows of `len` sorted dimensions; out[j] is bit-identical
+  /// to LogEvaluateSubspace(x, row j), and the kde.* counters move by the
+  /// same totals. Rows are scored subspace_lanes() at a time in SIMD
+  /// lanes; a lone row, and every row of an indexed model, takes the
+  /// per-candidate path instead.
+  void LogEvaluateSubspaces(std::span<const double> x,
+                            std::span<const size_t> dims, size_t len,
+                            std::span<double> out) const;
+
+  /// Rows LogEvaluateSubspaces scores per SIMD block (1 at the scalar
+  /// level or with a spatial index: every row on the per-candidate path).
+  size_t subspace_lanes() const {
+    return index_.has_value() ? 1 : simd_->subspace_lanes;
+  }
+
   /// Batch evaluation behind the unified EvalRequest API (kde/eval.h):
   /// densities — or log-densities with request.log_space — for every
   /// query point, optionally parallel and under an ExecContext.

@@ -1,5 +1,7 @@
 #include "classify/density_classifier.h"
 
+#include <algorithm>
+#include <chrono>
 #include <limits>
 #include <set>
 #include <vector>
@@ -7,8 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "classify/metrics.h"
+#include "common/deadline.h"
+#include "common/exec_context.h"
 #include "dataset/synthetic.h"
+#include "dataset/uci_like.h"
 #include "error/perturbation.h"
+#include "kde/simd_sweep.h"
+#include "obs/metrics.h"
 
 namespace udm {
 namespace {
@@ -232,6 +239,152 @@ TEST(DensityClassifierTest, ErrorAdjustmentHelpsUnderHeavyNoise) {
         EvaluateClassifier(unadjusted, test).value().Accuracy();
   }
   EXPECT_GT(adjusted_total / trials, unadjusted_total / trials);
+}
+
+TEST(DensityClassifierTest, NonFiniteCoordinatesAreRejected) {
+  const Dataset d = SeparableData(200);
+  DensityBasedClassifier::Options options;
+  options.num_clusters = 20;
+  const auto classifier =
+      DensityBasedClassifier::Train(
+          d, ErrorModel::Zero(d.NumRows(), d.NumDims()), options)
+          .value();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (size_t j = 0; j < d.NumDims(); ++j) {
+      std::vector<double> x(d.Row(0).begin(), d.Row(0).end());
+      x[j] = bad;
+      ExecContext ctx;
+      EXPECT_EQ(classifier.Explain(x).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(classifier.Explain(x, ctx).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(classifier.Predict(x).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(classifier.Predict(x, ctx).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+  // Finite far-tail coordinates still classify.
+  const std::vector<double> far = {1e300, -1e300, 1e300};
+  EXPECT_TRUE(classifier.Explain(far).ok());
+}
+
+TEST(DensityClassifierTest, ExplainMetricsRecordOncePerCall) {
+  const Dataset d = SeparableData(300);
+  DensityBasedClassifier::Options options;
+  options.num_clusters = 20;
+  options.accuracy_threshold = 1e9;  // nothing qualifies: always fallback
+  const auto classifier =
+      DensityBasedClassifier::Train(
+          d, ErrorModel::Zero(d.NumRows(), d.NumDims()), options)
+          .value();
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter& scored =
+      registry.GetCounter("classify.explain.candidates_scored");
+  obs::Counter& fallbacks = registry.GetCounter("classify.explain.fallbacks");
+  obs::Counter& stop_budget =
+      registry.GetCounter("classify.explain.stop_budget");
+  obs::Histogram& seconds = registry.GetHistogram("classify.explain.seconds");
+  const uint64_t scored0 = scored.Value();
+  const uint64_t fallbacks0 = fallbacks.Value();
+  const uint64_t budget0 = stop_budget.Value();
+  const uint64_t calls0 = seconds.Count();
+
+  const auto full = classifier.Explain(d.Row(0)).value();
+  EXPECT_TRUE(full.used_fallback);
+  EXPECT_EQ(scored.Value() - scored0, d.NumDims());
+  EXPECT_EQ(fallbacks.Value() - fallbacks0, 1u);
+  EXPECT_EQ(stop_budget.Value() - budget0, 0u);
+  EXPECT_EQ(seconds.Count() - calls0, 1u);
+
+  // A budget of one kernel evaluation stops before the first candidate.
+  ExecBudget budget;
+  budget.max_kernel_evals = 1;
+  ExecContext ctx(Deadline(), {}, budget);
+  const auto cut = classifier.Explain(d.Row(0), ctx).value();
+  EXPECT_EQ(cut.stop_cause, StopCause::kBudget);
+  EXPECT_EQ(scored.Value() - scored0, d.NumDims());
+  EXPECT_EQ(stop_budget.Value() - budget0, 1u);
+  EXPECT_EQ(seconds.Count() - calls0, 2u);
+}
+
+double ElapsedUs(Deadline::Clock::time_point from,
+                 Deadline::Clock::time_point to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+TEST(DensityClassifierTest, DeadlineStopOverrunsByAtMostOneBlock) {
+  // The roll-up checks every candidate of a lane block before scoring the
+  // block (DESIGN.md §4c), so a deadline that expires mid-block is seen at
+  // the next block: the overrun past the deadline is at most one block
+  // plus the fallback. Level 1 only (max_evaluations = 1) keeps every
+  // block a block of singletons.
+  const Dataset clean = MakeIonosphereLike(900, 3).value();
+  DensityBasedClassifier::Options options;
+  options.num_clusters = 60;
+  options.max_evaluations = 1;
+  const auto classifier =
+      DensityBasedClassifier::Train(
+          clean, ErrorModel::Zero(clean.NumRows(), clean.NumDims()), options)
+          .value();
+  const size_t lanes = kde_internal::ProcessSimdDispatch().subspace_lanes;
+  const std::span<const double> x = clean.Row(7);
+  std::vector<size_t> all(clean.NumDims());
+  for (size_t j = 0; j < all.size(); ++j) all[j] = j;
+
+  const auto time_us = [&](auto&& fn) {
+    std::vector<double> samples;
+    for (int rep = 0; rep < 21; ++rep) {
+      const auto t0 = Deadline::Clock::now();
+      fn();
+      samples.push_back(ElapsedUs(t0, Deadline::Clock::now()));
+    }
+    return Median(samples);
+  };
+  // Level 1 is ceil(d / lanes) blocks, so an unbounded Explain over-
+  // estimates one block's cost by at most the fallback; LogLocalAccuracy
+  // over all dimensions costs 2 of the fallback's 3 model evaluations.
+  // The bound allows two blocks for timing noise. Deadlines land in the
+  // first quarter of the roll-up, so one not seen until level 1 ended
+  // would overrun by most of an Explain and break it.
+  const double explain_us = time_us([&] { (void)classifier.Explain(x); });
+  const double fallback_us =
+      1.5 * time_us([&] { (void)classifier.LogLocalAccuracy(x, all, 0); });
+  const double blocks =
+      static_cast<double>((all.size() + lanes - 1) / lanes);
+  const double block_us = explain_us / blocks;
+  const double bound_us = 2.0 * block_us + fallback_us + 2.0;
+
+  obs::Counter& stop_deadline =
+      obs::MetricsRegistry::Global().GetCounter(
+          "classify.explain.stop_deadline");
+  const uint64_t deadline_stops0 = stop_deadline.Value();
+  std::vector<double> overruns;
+  for (int step = 1; step <= 60; ++step) {
+    const auto budget = std::chrono::duration<double, std::micro>(
+        explain_us * (step % 6 + 1) / 24.0);
+    const auto start = Deadline::Clock::now();
+    const auto at =
+        start + std::chrono::duration_cast<Deadline::Clock::duration>(budget);
+    ExecContext ctx(Deadline::At(at));
+    const auto explained = classifier.Explain(x, ctx);
+    const auto end = Deadline::Clock::now();
+    if (!explained.ok()) continue;  // expired before the first check
+    if (explained->stop_cause != StopCause::kDeadline) continue;
+    overruns.push_back(ElapsedUs(at, end));
+  }
+  ASSERT_GE(overruns.size(), 10u) << "too few deadline stops to judge";
+  EXPECT_EQ(stop_deadline.Value() - deadline_stops0, overruns.size());
+  EXPECT_LE(Median(overruns), bound_us)
+      << "lanes=" << lanes << " block_us=" << block_us
+      << " fallback_us=" << fallback_us << " explain_us=" << explain_us;
 }
 
 }  // namespace
