@@ -16,7 +16,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "robustness/checkpoint.h"
-#include "stream/stream_summarizer.h"
+#include "stream/sharded_summarizer.h"
 
 namespace udm::bench {
 
@@ -185,9 +185,21 @@ void ShapeCheck(const std::string& what, bool ok) {
 void MeasureStreamIngest(const Dataset& data, size_t num_clusters) {
   namespace fs = std::filesystem;
   const size_t d = data.NumDims();
-  Result<StreamSummarizer> summarizer = StreamSummarizer::Create(
-      d, {.num_clusters = num_clusters});
-  UDM_CHECK(summarizer.ok()) << summarizer.status().ToString();
+  std::error_code ec;
+  std::string scratch =
+      (fs::temp_directory_path(ec) / "udm-bench-ck-XXXXXX").string();
+  UDM_CHECK(mkdtemp(scratch.data()) != nullptr)
+      << "MeasureStreamIngest: mkdtemp failed";
+
+  // One shard that checkpoints after its drain, so the report's route,
+  // absorb and checkpoint stages are all populated.
+  ShardedSummarizerOptions options;
+  options.num_shards = 1;
+  options.shard_options.num_clusters = num_clusters;
+  options.checkpoint_dir = scratch;
+  options.checkpoint_every = data.NumRows();
+  Result<ShardedSummarizer> sharded = ShardedSummarizer::Create(d, options);
+  UDM_CHECK(sharded.ok()) << sharded.status().ToString();
 
   std::vector<RecordView> records;
   records.reserve(data.NumRows());
@@ -196,34 +208,27 @@ void MeasureStreamIngest(const Dataset& data, size_t num_clusters) {
     records.push_back({data.Row(i), zero_psi, /*timestamp=*/i});
   }
   ExecContext unbounded;
-  const Result<BatchIngestResult> ingested =
-      summarizer->IngestBatch(records, unbounded);
+  const Result<ShardedIngestResult> ingested =
+      sharded->IngestBatch(records, unbounded);
   UDM_CHECK(ingested.ok()) << ingested.status().ToString();
+  UDM_CHECK(sharded->shard_summarizer(0) != nullptr)
+      << "MeasureStreamIngest: shard quarantined: "
+      << sharded->shard_status(0).last_error.ToString();
+  const StreamSummarizer& summarizer = *sharded->shard_summarizer(0);
 
-  // One checkpoint round-trip in a scratch directory so the report's
-  // checkpoint latency histograms are populated.
-  std::error_code ec;
-  std::string scratch =
-      (fs::temp_directory_path(ec) / "udm-bench-ck-XXXXXX").string();
-  UDM_CHECK(mkdtemp(scratch.data()) != nullptr)
-      << "MeasureStreamIngest: mkdtemp failed";
+  // Restore the newest checkpoint so the restore latency is populated too.
   bool roundtrip_ok = false;
   std::string detail;
-  CheckpointOptions options;
-  options.directory = scratch;
-  Result<CheckpointManager> manager = CheckpointManager::Create(options);
+  CheckpointOptions restore_options;
+  restore_options.directory = scratch + "/shard-0";
+  Result<CheckpointManager> manager = CheckpointManager::Create(restore_options);
   if (manager.ok()) {
-    const Status saved = manager->Save(*summarizer, data.NumRows());
-    if (saved.ok()) {
-      const Result<CheckpointManager::Restored> restored =
-          manager->RestoreLatest();
-      roundtrip_ok = restored.ok() &&
-                     restored->summarizer.ingest_stats().records_ok ==
-                         summarizer->ingest_stats().records_ok;
-      if (!restored.ok()) detail = restored.status().ToString();
-    } else {
-      detail = saved.ToString();
-    }
+    const Result<CheckpointManager::Restored> restored =
+        manager->RestoreLatest();
+    roundtrip_ok = restored.ok() &&
+                   restored->summarizer.ingest_stats().records_ok ==
+                       summarizer.ingest_stats().records_ok;
+    if (!restored.ok()) detail = restored.status().ToString();
   } else {
     detail = manager.status().ToString();
   }
@@ -232,7 +237,7 @@ void MeasureStreamIngest(const Dataset& data, size_t num_clusters) {
   std::printf("stream-ingest: %zu records, %zu micro-clusters, checkpoint "
               "round-trip %s\n",
               static_cast<size_t>(ingested->consumed),
-              summarizer->clusters().size(), roundtrip_ok ? "ok" : "FAILED");
+              summarizer.clusters().size(), roundtrip_ok ? "ok" : "FAILED");
   if (g_report != nullptr) {
     g_report->SetConfig("stream_ingest_records",
                         static_cast<double>(ingested->consumed));

@@ -52,11 +52,12 @@ const BenchContext& GetBenchContext();
 void BenchConfig(const std::string& key, const std::string& value);
 void BenchConfig(const std::string& key, double value);
 
-/// Streams every row of `data` through a StreamSummarizer (zero error
-/// vectors) and runs one checkpoint save/restore round-trip in a scratch
-/// directory, so a figure bench's run report also exercises — and gets
-/// nonzero metrics from — the ingest and checkpoint paths. Prints a one-
-/// line summary and records a check in the run report.
+/// Streams every row of `data` through a one-shard ShardedSummarizer (zero
+/// error vectors) that checkpoints into a scratch directory, then restores
+/// the newest checkpoint, so a figure bench's run report also exercises —
+/// and gets nonzero metrics from — the ingest stages (route, absorb,
+/// checkpoint) and the checkpoint paths. Prints a one-line summary and
+/// records a check in the run report.
 void MeasureStreamIngest(const Dataset& data, size_t num_clusters);
 
 /// Prints the figure banner (id + caption + workload note).

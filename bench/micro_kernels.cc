@@ -120,27 +120,36 @@ void BM_MicroClusterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_MicroClusterAdd)->Arg(6)->Arg(10)->Arg(34);
 
+// Steady-state nearest-centroid assignment (Eq. 5), one record per item,
+// on perturbed rows (f = 1.2): ψ is then the size of the displacement from
+// the centroids, so max(0, δ² − ψ²) changes sign from centroid to centroid
+// as it does in training. Args: d (34 ionosphere-like, 10 forest-like), q.
 void BM_ClustererAssign(benchmark::State& state) {
-  const size_t q = static_cast<size_t>(state.range(0));
-  const size_t d = 10;
-  udm::Rng rng(3);
+  const size_t d = static_cast<size_t>(state.range(0));
+  const size_t q = static_cast<size_t>(state.range(1));
+  constexpr size_t kRows = 4000;
+  const udm::Dataset clean = d == 34
+                                 ? udm::MakeIonosphereLike(kRows, 5).value()
+                                 : udm::MakeForestCoverLike(kRows, 5).value();
+  udm::PerturbationOptions perturb;
+  perturb.f = 1.2;
+  const udm::UncertainDataset noisy = udm::Perturb(clean, perturb).value();
   udm::MicroClusterer::Options options;
   options.num_clusters = q;
   auto clusterer = udm::MicroClusterer::Create(d, options).value();
-  std::vector<double> psi(d, 0.2);
-  std::vector<double> point(d);
   // Fill the budget first so we time the steady-state assignment path.
   for (size_t i = 0; i < q; ++i) {
-    for (size_t j = 0; j < d; ++j) point[j] = rng.Gaussian(0.0, 10.0);
-    clusterer.Add(point, psi);
+    clusterer.Add(noisy.data.Row(i), noisy.errors.RowPsi(i));
   }
+  size_t row = q;
   for (auto _ : state) {
-    for (size_t j = 0; j < d; ++j) point[j] = rng.Gaussian(0.0, 10.0);
-    benchmark::DoNotOptimize(clusterer.Add(point, psi));
+    benchmark::DoNotOptimize(
+        clusterer.Add(noisy.data.Row(row), noisy.errors.RowPsi(row)));
+    if (++row == kRows) row = q;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ClustererAssign)->Arg(20)->Arg(80)->Arg(140);
+BENCHMARK(BM_ClustererAssign)->Args({34, 140})->Args({10, 140});
 
 void BM_McDensitySubspaceEval(benchmark::State& state) {
   const size_t q = static_cast<size_t>(state.range(0));

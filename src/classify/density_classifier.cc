@@ -323,6 +323,12 @@ Result<DensityBasedClassifier::Explanation> DensityBasedClassifier::Explain(
     SubspaceScore score;
     ScoreBlock(x, all, num_dims_, &score);
     explanation.predicted = score.label;
+    if (std::isnan(score.log_accuracy)) {
+      explanation.predicted = static_cast<int>(
+          std::max_element(class_counts_.begin(), class_counts_.end()) -
+          class_counts_.begin());
+      explanation.no_density_support = true;
+    }
     explanation.used_fallback = true;
     tally.fallback = true;
     return explanation;

@@ -84,6 +84,11 @@ class DensityBasedClassifier : public Classifier {
     /// True when no subspace beat the threshold and the full-dimensional
     /// fallback decided.
     bool used_fallback = false;
+    /// True when the fallback found no density at x in any model (a query
+    /// beyond every kernel's reach, where each log-accuracy is
+    /// −inf − (−inf) = NaN): the prediction is then the class with the
+    /// most training rows, the lowest index on ties.
+    bool no_density_support = false;
     std::vector<Rule> selected;
     /// kCompleted for a full roll-up; kDeadline/kBudget when the
     /// ExecContext cut expansion short and the prediction was made from

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
+#include "microcluster/centroid_table.h"
 #include "microcluster/distance.h"
 #include "microcluster/microcluster.h"
 
@@ -24,7 +25,8 @@ namespace udm {
 ///    is reflected in the statistics;
 ///  * centroids are the running CF1x/n means.
 ///
-/// O(q·d) per point; the summary (q clusters) lives in main memory so
+/// O(q·d) per point, as one column-major sweep over the centroids
+/// (CentroidTable); the summary (q clusters) lives in main memory so
 /// densities can later be recomputed over arbitrary subspaces without
 /// another data pass.
 class MicroClusterer {
@@ -70,21 +72,25 @@ class MicroClusterer {
 
   size_t num_dims() const { return num_dims_; }
 
+  /// Assignment work so far: Σ over assigned points of (live centroids ×
+  /// num_dims), the centroid-dimensions the sweep scored. Seeding points
+  /// score nothing. Callers publish it as microcluster.assign.centroid_dims.
+  uint64_t centroid_dims_scored() const { return centroid_dims_scored_; }
+
  private:
   MicroClusterer(size_t num_dims, const Options& options)
-      : num_dims_(num_dims), options_(options) {}
-
-  /// Index of the nearest centroid under the configured distance.
-  size_t NearestCluster(std::span<const double> values,
-                        std::span<const double> psi) const;
+      : num_dims_(num_dims),
+        options_(options),
+        centroids_(num_dims, options.num_clusters) {}
 
   size_t num_dims_;
   Options options_;
   std::vector<MicroCluster> clusters_;
-  /// Cached centroids, row-major (clusters_.size() x num_dims_), kept in
-  /// sync with the CF1x sums so assignment avoids divisions per candidate.
-  std::vector<double> centroids_;
+  /// The clusters' CF1x/n, kept in sync with the sums so assignment
+  /// divides nothing per candidate.
+  CentroidTable centroids_;
   uint64_t num_points_ = 0;
+  uint64_t centroid_dims_scored_ = 0;
 };
 
 /// Convenience: builds the full summary for an uncertain dataset in one

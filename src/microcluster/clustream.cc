@@ -1,8 +1,7 @@
 #include "microcluster/clustream.h"
 
+#include <algorithm>
 #include <limits>
-
-#include "common/math_util.h"
 
 namespace udm {
 
@@ -23,7 +22,12 @@ Result<CluStreamMaintainer> CluStreamMaintainer::Create(
   return CluStreamMaintainer(num_dims, options);
 }
 
-double CluStreamMaintainer::MaxBoundary2(size_t c) const {
+std::span<const double> CluStreamMaintainer::DistancesFrom(size_t c) {
+  for (size_t j = 0; j < num_dims_; ++j) own_[j] = centroids_.At(c, j);
+  return centroids_.Distances(AssignmentDistance::kEuclidean, own_, {});
+}
+
+double CluStreamMaintainer::MaxBoundary2(size_t c) {
   const MicroCluster& cluster = clusters_[c];
   if (cluster.Count() >= 2) {
     // RMS deviation of the cluster's member *values* (CluStream's
@@ -40,23 +44,11 @@ double CluStreamMaintainer::MaxBoundary2(size_t c) const {
   // Singleton (or degenerate) cluster: distance to the nearest other
   // centroid, per CluStream's heuristic.
   double nearest = std::numeric_limits<double>::infinity();
-  const std::span<const double> own{centroids_.data() + c * num_dims_,
-                                    num_dims_};
-  for (size_t other = 0; other < clusters_.size(); ++other) {
-    if (other == c) continue;
-    const std::span<const double> centroid{
-        centroids_.data() + other * num_dims_, num_dims_};
-    nearest = std::min(nearest, SquaredEuclidean(own, centroid));
+  const std::span<const double> dist = DistancesFrom(c);
+  for (size_t other = 0; other < dist.size(); ++other) {
+    if (other != c) nearest = std::min(nearest, dist[other]);
   }
   return nearest;
-}
-
-void CluStreamMaintainer::RefreshCentroid(size_t c) {
-  const double n = static_cast<double>(clusters_[c].Count());
-  double* centroid = centroids_.data() + c * num_dims_;
-  for (size_t j = 0; j < num_dims_; ++j) {
-    centroid[j] = clusters_[c].cf1()[j] / n;
-  }
 }
 
 void CluStreamMaintainer::MergeClosestPair() {
@@ -64,32 +56,32 @@ void CluStreamMaintainer::MergeClosestPair() {
   size_t best_b = 1;
   double best_dist = std::numeric_limits<double>::infinity();
   for (size_t a = 0; a < clusters_.size(); ++a) {
-    const std::span<const double> ca{centroids_.data() + a * num_dims_,
-                                     num_dims_};
-    for (size_t b = a + 1; b < clusters_.size(); ++b) {
-      const std::span<const double> cb{centroids_.data() + b * num_dims_,
-                                       num_dims_};
-      const double dist = SquaredEuclidean(ca, cb);
-      if (dist < best_dist) {
-        best_dist = dist;
+    const std::span<const double> dist = DistancesFrom(a);
+    for (size_t b = a + 1; b < dist.size(); ++b) {
+      if (dist[b] < best_dist) {
+        best_dist = dist[b];
         best_a = a;
         best_b = b;
       }
     }
   }
   clusters_[best_a].Merge(clusters_[best_b]);
-  RefreshCentroid(best_a);
-  // Swap-erase the absorbed cluster and its centroid cache row.
+  centroids_.SetCentroidOf(best_a, clusters_[best_a]);
+  // Swap-erase the absorbed cluster and its centroid column entries.
   const size_t last = clusters_.size() - 1;
-  if (best_b != last) {
-    clusters_[best_b] = std::move(clusters_[last]);
-    for (size_t j = 0; j < num_dims_; ++j) {
-      centroids_[best_b * num_dims_ + j] = centroids_[last * num_dims_ + j];
-    }
-  }
+  if (best_b != last) clusters_[best_b] = std::move(clusters_[last]);
   clusters_.pop_back();
-  centroids_.resize(clusters_.size() * num_dims_);
+  centroids_.SwapErase(best_b);
   ++num_merges_;
+}
+
+void CluStreamMaintainer::Found(std::span<const double> values,
+                                std::span<const double> psi) {
+  MicroCluster cluster(num_dims_);
+  cluster.AddPoint(values, psi);
+  clusters_.push_back(std::move(cluster));
+  centroids_.Append(values);
+  ++num_creations_;
 }
 
 size_t CluStreamMaintainer::Add(std::span<const double> values,
@@ -99,41 +91,22 @@ size_t CluStreamMaintainer::Add(std::span<const double> values,
   ++num_points_;
 
   if (clusters_.size() < 2) {
-    MicroCluster cluster(num_dims_);
-    cluster.AddPoint(values, psi);
-    clusters_.push_back(std::move(cluster));
-    centroids_.insert(centroids_.end(), values.begin(), values.end());
-    ++num_creations_;
+    Found(values, psi);
     return clusters_.size() - 1;
   }
 
-  size_t nearest = 0;
-  double nearest_dist = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < clusters_.size(); ++c) {
-    const std::span<const double> centroid{centroids_.data() + c * num_dims_,
-                                           num_dims_};
-    const double dist =
-        AssignmentDistanceValue(options_.distance, values, psi, centroid);
-    if (dist < nearest_dist) {
-      nearest_dist = dist;
-      nearest = c;
-    }
-  }
-
+  const auto [nearest, nearest_dist] =
+      centroids_.Nearest(options_.distance, values, psi);
   if (nearest_dist <= MaxBoundary2(nearest)) {
     clusters_[nearest].AddPoint(values, psi);
-    RefreshCentroid(nearest);
+    centroids_.SetCentroidOf(nearest, clusters_[nearest]);
     return nearest;
   }
 
   // The point does not naturally fit: found a new cluster, restoring the
   // budget by merging the closest existing pair first.
   if (clusters_.size() >= options_.num_clusters) MergeClosestPair();
-  MicroCluster cluster(num_dims_);
-  cluster.AddPoint(values, psi);
-  clusters_.push_back(std::move(cluster));
-  centroids_.insert(centroids_.end(), values.begin(), values.end());
-  ++num_creations_;
+  Found(values, psi);
   return clusters_.size() - 1;
 }
 

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "dataset/dataset.h"
 #include "error/error_model.h"
+#include "microcluster/centroid_table.h"
 #include "microcluster/distance.h"
 #include "microcluster/microcluster.h"
 
@@ -62,20 +63,28 @@ class CluStreamMaintainer {
 
  private:
   CluStreamMaintainer(size_t num_dims, const Options& options)
-      : num_dims_(num_dims), options_(options) {}
+      : num_dims_(num_dims),
+        options_(options),
+        centroids_(num_dims, options.num_clusters),
+        own_(num_dims) {}
 
   /// Squared maximum boundary of cluster `c`.
-  double MaxBoundary2(size_t c) const;
+  double MaxBoundary2(size_t c);
 
   /// Merges the two closest clusters (centroid distance) to free a slot.
   void MergeClosestPair();
 
-  void RefreshCentroid(size_t c);
+  /// Appends a new cluster holding just this point.
+  void Found(std::span<const double> values, std::span<const double> psi);
+
+  /// Squared Euclidean distances from centroid `c` to every centroid.
+  std::span<const double> DistancesFrom(size_t c);
 
   size_t num_dims_;
   Options options_;
   std::vector<MicroCluster> clusters_;
-  std::vector<double> centroids_;  // row-major cache
+  CentroidTable centroids_;  // CF1x/n of each cluster
+  std::vector<double> own_;  // scratch: one centroid's coordinates
   uint64_t num_points_ = 0;
   uint64_t num_creations_ = 0;
   uint64_t num_merges_ = 0;

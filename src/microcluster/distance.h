@@ -22,6 +22,8 @@ enum class AssignmentDistance {
 /// Dimensions whose displacement is within the point's own error contribute
 /// nothing — the "best-case" reading the paper motivates with Figure 2
 /// (a point is assigned where its error ellipse could have placed it).
+/// This is the reference the assignment sweep (CentroidTable) reproduces
+/// bit for bit at every SIMD level.
 double ErrorAdjustedDistance(std::span<const double> point,
                              std::span<const double> psi,
                              std::span<const double> centroid);

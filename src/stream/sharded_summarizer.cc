@@ -1,6 +1,7 @@
 #include "stream/sharded_summarizer.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -25,6 +26,10 @@ struct ShardMetrics {
   obs::Gauge& replay_remaining;
   obs::Gauge& degraded;
   obs::Histogram& merge_seconds;
+  /// Ingest stages on one clock, recorded once per call or shard drain.
+  obs::Histogram& route_seconds;
+  obs::Histogram& absorb_seconds;
+  obs::Histogram& checkpoint_seconds;
 
   static ShardMetrics& Get() {
     static ShardMetrics* metrics = [] {
@@ -38,11 +43,22 @@ struct ShardMetrics {
           registry.GetGauge("shard.replay_remaining"),
           registry.GetGauge("shard.degraded"),
           registry.GetHistogram("shard.merge.seconds"),
+          registry.GetHistogram("stream.ingest.stage.route.seconds"),
+          registry.GetHistogram("stream.ingest.stage.absorb.seconds"),
+          registry.GetHistogram("stream.ingest.stage.checkpoint.seconds"),
       };
     }();
     return *metrics;
   }
 };
+
+/// Wall seconds since `start`. The stage timers read only the monotonic
+/// clock; a Stopwatch would also read the process CPU clock, a syscall.
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 StopCause StopCauseFromStatus(const Status& boundary) {
   return boundary.code() == StatusCode::kDeadlineExceeded ? StopCause::kDeadline
@@ -169,7 +185,9 @@ Result<BatchIngestResult> ShardedSummarizer::DrainShard(Shard& shard,
   // progress, or a kStrict rejection): every consumed record is validated
   // exactly once, and a rejected record is counted but not consumed.
   const uint64_t seen_before = shard.summarizer->ingest_stats().records_seen();
+  const auto absorb_start = std::chrono::steady_clock::now();
   auto result = shard.summarizer->IngestBatch(views, ctx);
+  ShardMetrics::Get().absorb_seconds.Record(SecondsSince(absorb_start));
   const uint64_t seen_delta =
       shard.summarizer->ingest_stats().records_seen() - seen_before;
   if (!result.ok()) {
@@ -194,7 +212,9 @@ Status ShardedSummarizer::MaybeCheckpoint(Shard& shard, bool force) {
     Quarantine(shard, cause);
     return cause;
   }
+  const auto save_start = std::chrono::steady_clock::now();
   Status saved = shard.checkpoints->Save(*shard.summarizer, shard.absorbed);
+  ShardMetrics::Get().checkpoint_seconds.Record(SecondsSince(save_start));
   if (!saved.ok()) {
     // A save that failed past its retries (or committed a torn generation)
     // leaves durability behind the promise checkpoint_every makes;
@@ -225,6 +245,7 @@ Result<ShardedIngestResult> ShardedSummarizer::IngestBatch(
   ShardedIngestResult out;
   // Route a prefix into the shard logs. Copies are the price of the replay
   // guarantee: views die with this call, the log must survive a crash.
+  const auto route_start = std::chrono::steady_clock::now();
   for (const RecordView& r : records) {
     Shard& shard = shards_[ShardFor(r)];
     if (shard.log.size() >= options_.max_replay_buffer) {
@@ -238,6 +259,7 @@ Result<ShardedIngestResult> ShardedSummarizer::IngestBatch(
     ++out.consumed;
   }
   metrics.records_routed.Increment(out.consumed);
+  metrics.route_seconds.Record(SecondsSince(route_start));
 
   // Drain every healthy shard's backlog. Shard state is disjoint, so the
   // drains are independent; the shared ctx keeps one deadline over all.

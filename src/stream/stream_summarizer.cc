@@ -27,6 +27,7 @@ struct StreamMetrics {
   obs::Counter& batch_deferrals;
   obs::Gauge& microclusters;
   obs::Histogram& ingest_seconds;
+  obs::Counter& centroid_dims;
 
   static StreamMetrics& Get() {
     static StreamMetrics* metrics = [] {
@@ -40,7 +41,8 @@ struct StreamMetrics {
           registry.GetCounter("stream.records_replayed"),
           registry.GetCounter("stream.batch_deferrals"),
           registry.GetGauge("stream.microclusters"),
-          registry.GetHistogram("stream.ingest.seconds")};
+          registry.GetHistogram("stream.ingest.seconds"),
+          registry.GetCounter("microcluster.assign.centroid_dims")};
     }();
     return *metrics;
   }
@@ -259,6 +261,15 @@ Result<BatchIngestResult> StreamSummarizer::IngestBatch(
 
   UDM_TRACE_SPAN("stream.ingest_batch");
   Stopwatch batch_watch;
+  // Assignment work is published once per batch, on every exit path.
+  struct AssignWork {
+    const MicroClusterer& clusterer;
+    const uint64_t before = clusterer.centroid_dims_scored();
+    ~AssignWork() {
+      StreamMetrics::Get().centroid_dims.Increment(
+          clusterer.centroid_dims_scored() - before);
+    }
+  } assign_work{clusterer_};
   BatchIngestResult out;
   for (const RecordView& record : records) {
     Status boundary = ctx.ChargeBytes(

@@ -11,6 +11,7 @@
 #include "classify/metrics.h"
 #include "common/deadline.h"
 #include "common/exec_context.h"
+#include "common/random.h"
 #include "dataset/synthetic.h"
 #include "dataset/uci_like.h"
 #include "error/perturbation.h"
@@ -239,6 +240,40 @@ TEST(DensityClassifierTest, ErrorAdjustmentHelpsUnderHeavyNoise) {
         EvaluateClassifier(unadjusted, test).value().Accuracy();
   }
   EXPECT_GT(adjusted_total / trials, unadjusted_total / trials);
+}
+
+// A finite query beyond every kernel's reach has no density in any model,
+// so every log-accuracy is NaN. The fallback then predicts the class with
+// the most training rows instead of class 0, and says so.
+TEST(DensityClassifierTest, FarQueryWithoutDensityPredictsTheLargestClass) {
+  Rng rng(41);
+  Dataset data = Dataset::Create(3).value();
+  for (size_t i = 0; i < 224; ++i) {
+    const int label = i < 17 ? 0 : 1;  // class 0 holds 17 of 224 rows
+    const double center = label == 0 ? 0.0 : 4.0;
+    const std::vector<double> row{rng.Gaussian(center, 1.0),
+                                  rng.Gaussian(center, 1.0),
+                                  rng.Gaussian(center, 1.0)};
+    ASSERT_TRUE(data.AppendRow(row, label).ok());
+  }
+  const DensityBasedClassifier classifier =
+      DensityBasedClassifier::Train(data, ErrorModel::Zero(224, 3)).value();
+
+  const std::vector<double> far{1e300, -1e300, 1e300};
+  const auto explained = classifier.Explain(far);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_TRUE(explained->used_fallback);
+  EXPECT_TRUE(explained->no_density_support);
+  EXPECT_EQ(explained->predicted, 1);
+  EXPECT_TRUE(explained->selected.empty());
+  EXPECT_EQ(classifier.Predict(far).value(), 1);
+
+  // A query inside the data keeps its density-based answer.
+  const std::vector<double> near_class0{0.0, 0.0, 0.0};
+  const auto near = classifier.Explain(near_class0);
+  ASSERT_TRUE(near.ok());
+  EXPECT_FALSE(near->no_density_support);
+  EXPECT_EQ(near->predicted, 0);
 }
 
 TEST(DensityClassifierTest, NonFiniteCoordinatesAreRejected) {

@@ -1,5 +1,5 @@
 // Golden test for DensityBasedClassifier::Explain: the predicted label,
-// fallback flag, stop cause, and every selected rule (dims, label, and
+// fallback flag, no-density flag, stop cause, and every selected rule (dims, label, and
 // log-accuracy as hex bits) on seeded ionosphere-like (d=34) and
 // forest-like (d=10) fixtures, under evaluation caps and kernel-eval
 // budgets that stop the roll-up mid-level. The golden lines were produced
@@ -128,6 +128,7 @@ std::string Render(const DensityBasedClassifier::Explanation& e) {
                   std::bit_cast<uint64_t>(rule.log_accuracy));
     line << ":" << rule.label << ":" << bits << ";";
   }
+  if (e.no_density_support) line << " nds=1";
   return line.str();
 }
 
